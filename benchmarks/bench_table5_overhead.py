@@ -5,7 +5,7 @@ Stage 2 0.63 s (14.5 %), Stage 3 2.71 s (62.4 %), Stage 4 0.81 s (18.7 %),
 total 4.34 s.  The paper's Stage 3 dominates because its mainnet graphs
 contain thousands of multi-transaction address nodes per slice; at our
 simulator scale the pairwise-similarity work is far smaller, so we report
-measured shares honestly and flag the deviation (see EXPERIMENTS.md).
+measured shares honestly and flag the deviation.
 """
 
 from __future__ import annotations

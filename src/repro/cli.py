@@ -23,6 +23,7 @@ import numpy as np
 from repro.chain.serialize import load_world_chain, save_world
 from repro.core import BAClassifier, BAClassifierConfig
 from repro.datagen import CLASS_NAMES, WorldConfig, generate_world
+from repro.errors import ValidationError
 from repro.eval import classification_report
 
 __all__ = ["main", "build_parser"]
@@ -218,32 +219,34 @@ def _cmd_score(args) -> int:
               "(the chain store backs cluster shards)",
               file=sys.stderr)
         return 2
-    chain, index, _, _ = load_world_chain(args.world)
-    classifier = BAClassifier.load(args.model)
-    if args.shards > 0:
-        service = ClusterScoringService(
-            classifier,
-            index,
-            chain=chain,
-            config=ClusterConfig(
+    try:
+        if args.shards > 0:
+            config = ClusterConfig(
                 num_shards=args.shards,
                 num_workers=args.workers,
                 cache_capacity=args.cache_capacity,
                 store_dir=args.store_dir,
-            ),
-            class_names=CLASS_NAMES,
-        )
-    else:
-        service = AddressScoringService(
-            classifier,
-            index,
-            chain=chain,
-            config=ScoringServiceConfig(
+            )
+        else:
+            config = ScoringServiceConfig(
                 cache_capacity=args.cache_capacity,
                 max_workers=args.workers,
-            ),
-            class_names=CLASS_NAMES,
-        )
+            )
+    except ValidationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    chain, index, _, _ = load_world_chain(args.world)
+    classifier = BAClassifier.load(args.model)
+    service_class = (
+        ClusterScoringService if args.shards > 0 else AddressScoringService
+    )
+    service = service_class(
+        classifier,
+        index,
+        chain=chain,
+        config=config,
+        class_names=CLASS_NAMES,
+    )
     if args.warm_dir:
         restored = service.load_warm(args.warm_dir)
         print(f"warm store: restored {restored} cached slice graphs")

@@ -58,7 +58,7 @@ one core no matter how many worker threads it owns.
   :meth:`~ClusterScoringService.async_score` runs queries on the
   cluster's own bounded executor (never the event loop's default one),
   and — by default — coalesces concurrent in-flight requests through a
-  :class:`_MicroBatcher` window into one merged scoring pass: the
+  self-clocked :class:`_MicroBatcher` into one merged scoring pass: the
   cross-*request* analogue of the cross-address batching below it, with
   per-request results split back out bit-equal to serial scoring.
 
@@ -79,7 +79,7 @@ from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from queue import Empty
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -136,6 +136,8 @@ _POOL_REMAPS = obs.counter("pool_remaps_total")
 _MB_REQUESTS = obs.counter("micro_batch_requests_total")
 _MB_BATCHES = obs.counter("micro_batches_total")
 _MB_BATCHED = obs.counter("micro_batched_requests_total")
+_MB_QUEUE_DEPTH = obs.gauge("micro_batch_queue_depth")
+_MB_OLDEST_WAIT = obs.gauge("micro_batch_oldest_wait_seconds")
 
 
 def _observe_lock_wait(wait_start: float) -> None:
@@ -166,12 +168,11 @@ class ClusterConfig:
     The async front end: ``async_workers`` bounds the cluster's own
     query executor (:meth:`~ClusterScoringService.async_score` never
     touches the event loop's default executor); ``micro_batch`` turns
-    the request-coalescing window on (default) or off;
-    ``micro_batch_window`` is how long, in seconds, the first request
-    of a batch waits for concurrent companions (0 coalesces only
-    what is already queued); ``micro_batch_max_addresses`` caps the
-    merged query size so one giant batch cannot stall latency for
-    everyone behind it.
+    request coalescing on (default) or off — a batch is sealed as soon
+    as the previous one stops using the CPU, so there is no window to
+    tune (see :class:`_MicroBatcher`); ``micro_batch_max_addresses``
+    caps the merged query size so one giant batch cannot stall latency
+    for everyone behind it.
 
     ``store_dir`` switches the cluster onto the memory-mapped chain
     store (:mod:`repro.chain.store`): the directory is created/synced
@@ -194,7 +195,6 @@ class ClusterConfig:
     start_method: Optional[str] = None
     async_workers: int = 4
     micro_batch: bool = True
-    micro_batch_window: float = 0.002
     micro_batch_max_addresses: int = 1024
     store_dir: Optional[str] = None
 
@@ -220,11 +220,6 @@ class ClusterConfig:
                 raise ValidationError(
                     f"{field_name} must be > 0, got {value}"
                 )
-        if self.micro_batch_window < 0:
-            raise ValidationError(
-                f"micro_batch_window must be >= 0, got "
-                f"{self.micro_batch_window}"
-            )
         if self.start_method is not None and (
             self.start_method
             not in multiprocessing.get_all_start_methods()
@@ -809,39 +804,52 @@ class _WorkerPool:
 class _BatchRequest:
     """One queued ``async_score`` call awaiting its coalesced batch."""
 
-    __slots__ = ("addresses", "future")
+    __slots__ = ("addresses", "future", "enqueued_at")
 
     def __init__(self, addresses: List[str]):
         self.addresses = addresses
         self.future: Future = Future()
+        self.enqueued_at = time.perf_counter()
 
 
 class _MicroBatcher:
-    """Dynamic request coalescing for :meth:`ClusterScoringService.async_score`.
+    """Self-clocked request coalescing for :meth:`ClusterScoringService.async_score`.
 
-    Concurrent requests land in a queue; a single batcher thread wakes
-    on the first arrival, sleeps the configured coalescing window so
-    companions can join, then drains whatever is pending (up to the
-    address cap) into one merged, deduplicated scoring pass — every
-    request of the window shares one block-diagonal GNN batch and one
-    padded sequence-head pass, the cross-request analogue of the
-    cluster's cross-address batching.  The merged pass runs on the
-    cluster's bounded query executor, so consecutive windows pipeline
-    instead of serialising behind each other.
+    Concurrent requests land in a queue.  A batch is sealed — everything
+    queued, up to ``micro_batch_max_addresses`` — as soon as no sealed
+    batch is in its *CPU phase*: from its seal until its merged pass
+    returns or until the pass stops to wait on cache-miss builds
+    (worker futures or inline ``build_lock`` builds).  Requests that
+    arrive while a pass runs coalesce into the next batch, so batch
+    size follows load with no timer: an idle cluster seals a lone
+    request at once, a busy one merges everything that queued behind
+    the running pass.  Releasing the CPU phase on entry to a build is
+    what keeps a cold batch from holding warm requests behind it: the
+    next batch seals while the cold one waits on its misses.
+
+    A batcher thread does the sealing: it waits until the queue is
+    non-empty and the CPU phase is free, and under the GIL it gets its
+    turn when the releasing pass and the callers it just answered yield
+    the interpreter — so those callers' next requests usually make the
+    new batch.  The merged pass runs on the cluster's bounded query
+    executor.  Every request of a batch shares one block-diagonal GNN
+    batch and one padded sequence-head pass, the cross-request analogue
+    of the cluster's cross-address batching.
 
     Results split back out per request from the merged score dict —
     scoring is per-address and input-order-independent below the head,
     so micro-batched scores are identical to serial ones.  A request
     naming unknown addresses fails alone with the shared
     :func:`~repro.serve.service._unknown_addresses_error`; it never
-    poisons the batch it happened to share a window with.
+    poisons the batch it was sealed into.
     """
 
-    #: Queue/counter state and the condition lock that guards it.
+    #: Queue/phase/counter state and the condition lock that guards it.
     _LOCK_GUARDED = {
         "_condition": (
             "_queue",
             "_closed",
+            "_cpu_busy",
             "_requests",
             "_batches",
             "_batched_requests",
@@ -854,6 +862,7 @@ class _MicroBatcher:
         self._condition = threading.Condition()
         self._queue: "deque[_BatchRequest]" = deque()
         self._closed = False
+        self._cpu_busy = False
         self._requests = 0
         self._batches = 0
         self._batched_requests = 0
@@ -898,11 +907,12 @@ class _MicroBatcher:
         self._thread.join(timeout=_JOIN_TIMEOUT_SECONDS)
 
     def _run(self) -> None:
-        window = self._cluster.config.micro_batch_window
         limit = self._cluster.config.micro_batch_max_addresses
         while True:
             with self._condition:
-                while not self._queue and not self._closed:
+                while not self._closed and (
+                    self._cpu_busy or not self._queue
+                ):
                     self._condition.wait()
                 if self._closed:
                     drained = list(self._queue)
@@ -913,13 +923,14 @@ class _MicroBatcher:
                             RuntimeError("cluster is closed"),
                         )
                     return
-            if window > 0:
-                # The coalescing window: give concurrent callers a
-                # chance to join this batch before it is sealed.
-                time.sleep(window)
-            batch: List[_BatchRequest] = []
-            total = 0
-            with self._condition:
+                # Saturation, sampled at the seal: how many requests
+                # queued, and how long the oldest of them waited.
+                _MB_QUEUE_DEPTH.set(len(self._queue))
+                _MB_OLDEST_WAIT.set(
+                    time.perf_counter() - self._queue[0].enqueued_at
+                )
+                batch: List[_BatchRequest] = []
+                total = 0
                 while self._queue:
                     request = self._queue[0]
                     if batch and total + len(request.addresses) > limit:
@@ -927,6 +938,7 @@ class _MicroBatcher:
                     self._queue.popleft()
                     batch.append(request)
                     total += len(request.addresses)
+                self._cpu_busy = True
                 self._batches += 1
                 self._batched_requests += len(batch)
                 self._max_batch = max(self._max_batch, len(batch))
@@ -935,46 +947,70 @@ class _MicroBatcher:
             executor = self._cluster._ensure_async_executor()
             executor.submit(self._execute, batch)
 
+    def _release_cpu(self) -> None:
+        """End the running batch's CPU phase: the next one may seal."""
+        with self._condition:
+            self._cpu_busy = False
+            self._condition.notify()
+
     def _execute(self, batch: List[_BatchRequest]) -> None:
         """Run one sealed batch: validate, merge, score, split."""
+        released = False
+
+        def release() -> None:
+            nonlocal released
+            if not released:
+                released = True
+                self._release_cpu()
+
+        try:
+            self._score_batch(batch, release)
+        finally:
+            release()
+
+    def _score_batch(
+        self, batch: List[_BatchRequest], on_build: Callable[[], None]
+    ) -> None:
         cluster = self._cluster
-        valid: List[_BatchRequest] = []
-        merged: List[str] = []
-        seen: Set[str] = set()
-        for request in batch:
-            unique = list(dict.fromkeys(request.addresses))
-            unknown = [
-                a
-                for a in unique
-                if cluster.index.transaction_count(a) == 0
-            ]
+        uniques = [list(dict.fromkeys(r.addresses)) for r in batch]
+        # Each distinct address is checked once per batch: under skewed
+        # traffic one address recurs across many requests, and a
+        # store-backed index searches every segment per lookup.
+        known: Dict[str, bool] = {}
+        for unique in uniques:
+            for address in unique:
+                if address not in known:
+                    known[address] = (
+                        cluster.index.transaction_count(address) > 0
+                    )
+        valid: List[Tuple[_BatchRequest, List[str]]] = []
+        merged: Dict[str, None] = {}
+        for request, unique in zip(batch, uniques):
+            unknown = [a for a in unique if not known[a]]
             if unknown:
                 _fail_future(
                     request.future, _unknown_addresses_error(unknown)
                 )
                 continue
-            valid.append(request)
-            for address in unique:
-                if address not in seen:
-                    seen.add(address)
-                    merged.append(address)
+            valid.append((request, unique))
+            merged.update(dict.fromkeys(unique))
         if not valid:
             return
         try:
-            scores = cluster._score_addresses(merged)
+            scores = cluster._score_addresses(
+                list(merged), on_build=on_build
+            )
         except Exception as error:  # repro: lint-ignore[broad-except]
             # Fan the failure out: every request of the merged pass gets
             # the real exception instead of an executor-swallowed hang.
-            for request in valid:
+            for request, _ in valid:
                 _fail_future(request.future, error)
             return
-        for request in valid:
-            result = {
-                address: scores[address]
-                for address in dict.fromkeys(request.addresses)
-            }
+        for request, unique in valid:
             try:
-                request.future.set_result(result)
+                request.future.set_result(
+                    {address: scores[address] for address in unique}
+                )
             except InvalidStateError:
                 pass  # caller cancelled while we were scoring
 
@@ -1291,9 +1327,13 @@ class ClusterScoringService:
         the event loop.
 
         With ``config.micro_batch`` (the default) the request joins the
-        cluster's coalescing window: concurrent in-flight requests are
-        merged into one scoring pass (see :class:`_MicroBatcher`) whose
-        per-request results are identical to serial scoring.  With
+        cluster's micro-batcher: it is sealed into the next batch as
+        soon as no earlier batch is using the CPU — at once when the
+        cluster is idle — together with every request that queued
+        meanwhile, and the batch runs as one scoring pass (see
+        :class:`_MicroBatcher`) whose per-request results are identical
+        to serial scoring.  A batch waiting on cache-miss builds never
+        holds later requests back.  With
         micro-batching off, the query runs directly on the cluster's
         own bounded executor — never the event loop's default executor,
         which ``async_score`` must not compete over with unrelated
@@ -1310,7 +1350,9 @@ class ClusterScoringService:
         )
 
     def _score_addresses(
-        self, addresses: List[str]
+        self,
+        addresses: List[str],
+        on_build: Optional[Callable[[], None]] = None,
     ) -> Dict[str, AddressScore]:
         """The shared query body: plan/build/commit per shard, then infer.
 
@@ -1319,7 +1361,9 @@ class ClusterScoringService:
         commit, that shard's results are discarded and re-planned — the
         optimistic-retry protocol that linearizes appends against
         in-flight queries (appends are rare relative to queries, so
-        retries are too).
+        retries are too).  ``on_build`` is called before every miss
+        build, as the pass stops to wait on it — the micro-batcher's
+        signal that this pass has left its CPU phase.
         """
         if not addresses:
             return {}
@@ -1327,7 +1371,7 @@ class ClusterScoringService:
         with obs.span("serve.score"):
             _SERVE_REQUESTS.inc()
             _SERVE_ADDRESSES.inc(len(addresses))
-            scores = self._score_addresses_traced(addresses)
+            scores = self._score_addresses_traced(addresses, on_build)
         _SERVE_SECONDS.observe(time.perf_counter() - request_start)
         # Ship the request's batched cache hit/miss deltas into the
         # registry.  Only the shards this request touched: taking every
@@ -1342,7 +1386,9 @@ class ClusterScoringService:
         return scores
 
     def _score_addresses_traced(
-        self, addresses: List[str]
+        self,
+        addresses: List[str],
+        on_build: Optional[Callable[[], None]],
     ) -> Dict[str, AddressScore]:
         """The :meth:`_score_addresses` body, run under ``serve.score``."""
         with self._lock:
@@ -1374,6 +1420,8 @@ class ClusterScoringService:
                     }
                     if missing:
                         to_build[shard_id] = missing
+            if to_build and on_build is not None:
+                on_build()
             built = self._build(to_build)
             retry = {}
             with obs.span("serve.commit"):
@@ -1579,7 +1627,7 @@ class ClusterScoringService:
         ``requests`` counts enqueued ``async_score`` calls,
         ``batches`` the merged scoring passes they were coalesced
         into, ``batched_requests`` the requests those batches carried,
-        and ``max_batch`` the largest coalescing window observed.
+        and ``max_batch`` the most requests one batch carried.
         All zero until the first micro-batched request.
         """
         batcher = self._batcher

@@ -55,6 +55,26 @@ class TestParser:
         ) == 2
         assert "--store-dir requires --shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shards", "2", "--workers", "-1"], "num_workers"),
+            (["--cache-capacity", "0"], "cache_capacity"),
+        ],
+    )
+    def test_invalid_service_config_exits_two(self, flags, message,
+                                              capsys):
+        """A config ValidationError (cluster or single service) prints
+        one ``error:`` line and exits 2, before touching the world or
+        model paths."""
+        assert main(
+            ["score", "--world", "w", "--model", "m", *flags, "addr1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_score_obs_args(self):
         args = build_parser().parse_args(
             ["score", "--world", "w", "--model", "m",

@@ -6,11 +6,14 @@ deterministic sampling, disabled no-ops) and the cross-process
 acceptance surface: one cluster ``score()`` over live shard workers
 produces a single trace tree whose worker spans nest under the parent
 request span, worker counter deltas fold exactly once across repeated
-block appends, and the legacy stats surfaces stay consistent with the
-registry snapshot.
+block appends, the legacy stats surfaces stay consistent with the
+registry snapshot, and the micro-batcher's saturation gauges sample the
+queue as each batch is sealed.
 """
 
+import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -461,6 +464,67 @@ class TestClusterCrossProcess:
         # per-module deltas of the modules planned during scoring.
         assert counters["plan_hits_total"] == hits_delta > 0
         assert counters["plan_compiles_total"] == compiles_delta > 0
+
+
+class TestMicroBatchSaturation:
+    def test_gauges_sample_the_queue_at_each_seal(self, economy):
+        """Queue depth and oldest wait are set when a batch is sealed:
+        a lone request on an idle cluster, then the three requests that
+        queued behind its held pass."""
+        _, index, addresses, classifier = economy
+        cluster = ClusterScoringService(
+            classifier,
+            index,
+            config=ClusterConfig(num_shards=2, num_workers=0),
+        )
+        entered = threading.Event()
+        release = threading.Event()
+        held_seconds = 0.05
+        try:
+            cluster.score(addresses[:4])
+            original = cluster._score_addresses
+
+            def held(batch, on_build=None):
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(timeout=30)
+                return original(batch, on_build=on_build)
+
+            cluster._score_addresses = held
+
+            async def run():
+                first = asyncio.ensure_future(
+                    cluster.async_score(addresses[:1])
+                )
+                try:
+                    assert await asyncio.to_thread(entered.wait, 30)
+                    gauges = obs.snapshot()["gauges"]
+                    assert gauges["micro_batch_queue_depth"] == 1
+                    assert (
+                        gauges["micro_batch_oldest_wait_seconds"]
+                        < held_seconds
+                    )
+                    rest = [
+                        asyncio.ensure_future(cluster.async_score([a]))
+                        for a in addresses[1:4]
+                    ]
+                    await asyncio.sleep(held_seconds)
+                finally:
+                    release.set()
+                await asyncio.wait_for(
+                    asyncio.gather(first, *rest), timeout=60
+                )
+
+            asyncio.run(run())
+            gauges = obs.snapshot()["gauges"]
+            assert gauges["micro_batch_queue_depth"] == 3
+            assert (
+                gauges["micro_batch_oldest_wait_seconds"] >= held_seconds
+            )
+            assert cluster.micro_batch_stats()["batches"] == 2
+        finally:
+            release.set()
+            cluster.close()
 
 
 class TestDisabledOverhead:

@@ -9,10 +9,12 @@ parity/persistence tests of ``test_serve_cluster``:
   appended history (tail-replay ingestion, not stale snapshots);
 - queries on disjoint shards overlap: holding one shard's lock blocks
   only that shard's queries, never the others';
-- micro-batched concurrent ``async_score`` calls coalesce into fewer
-  merged passes whose per-request scores equal serial scoring to 1e-9,
-  and a request naming unknown addresses fails alone without poisoning
-  its window;
+- micro-batched concurrent ``async_score`` calls that queue behind a
+  running pass coalesce into one merged pass whose per-request scores
+  equal serial scoring to 1e-9, and a request naming unknown addresses
+  fails alone without poisoning its batch;
+- a batch stuck on its miss builds (worker or inline) never holds a
+  later warm request behind it;
 - a block append racing an in-flight query forces a re-plan (the
   optimistic version protocol) and the query returns post-append
   scores — never a stale/fresh mix;
@@ -26,13 +28,16 @@ exercise locking and linearization, not model quality.
 """
 
 import asyncio
+import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro.core import BAClassifier, BAClassifierConfig
 from repro.errors import ValidationError
+from repro.graphs.pipeline import GraphConstructionPipeline
 from repro.serve import (
     AddressScoringService,
     ClusterConfig,
@@ -251,17 +256,48 @@ class TestPerShardLocking:
             cluster.close()
 
 
+def _hold_first_pass(cluster):
+    """Gate the cluster's first merged scoring pass.
+
+    Returns ``(entered, release)``: ``entered`` is set once the first
+    pass is running (its batch holds the CPU phase, so later requests
+    queue behind it), and the pass proceeds once ``release`` is set.
+    """
+    original = cluster._score_addresses
+    entered = threading.Event()
+    release = threading.Event()
+    calls = []
+
+    def held(addresses, on_build=None):
+        calls.append(addresses)
+        if len(calls) == 1:
+            entered.set()
+            assert release.wait(timeout=30)
+        return original(addresses, on_build=on_build)
+
+    cluster._score_addresses = held
+    return entered, release
+
+
+async def _queue_behind_held_pass(cluster, entered, first, rest):
+    """Start ``first``, wait until its pass holds the CPU phase, then
+    queue every request of ``rest`` behind it; returns all tasks."""
+    head = asyncio.ensure_future(cluster.async_score(first))
+    assert await asyncio.to_thread(entered.wait, 30)
+    tail = [asyncio.ensure_future(cluster.async_score(r)) for r in rest]
+    await asyncio.sleep(0)  # each task runs up to its enqueue
+    assert cluster.micro_batch_stats()["requests"] == 1 + len(rest)
+    return [head, *tail]
+
+
 class TestMicroBatching:
     def test_batched_scores_match_serial(self, economy):
-        """Concurrent requests coalesce into fewer merged passes whose
-        per-request results equal serial scoring to 1e-9."""
+        """Requests that arrive while a pass runs coalesce into one
+        merged pass whose per-request results equal serial scoring to
+        1e-9."""
         _, _, addresses, _, _ = economy
         cluster = _cluster(
-            economy,
-            num_shards=2,
-            num_workers=0,
-            micro_batch=True,
-            micro_batch_window=0.2,
+            economy, num_shards=2, num_workers=0, micro_batch=True
         )
         try:
             serial = cluster.score(addresses)
@@ -272,10 +308,17 @@ class TestMicroBatching:
                 list(addresses[half:]),
                 [addresses[0], addresses[-1]],
             ]
+            entered, release = _hold_first_pass(cluster)
 
             async def fan_out():
-                return await asyncio.gather(
-                    *(cluster.async_score(r) for r in requests)
+                try:
+                    tasks = await _queue_behind_held_pass(
+                        cluster, entered, requests[0], requests[1:]
+                    )
+                finally:
+                    release.set()
+                return await asyncio.wait_for(
+                    asyncio.gather(*tasks), timeout=60
                 )
 
             results = asyncio.run(fan_out())
@@ -292,7 +335,7 @@ class TestMicroBatching:
             assert stats["requests"] == len(requests)
             assert stats["batched_requests"] == len(requests)
             assert stats["batches"] < len(requests), (
-                "no coalescing happened inside a 200ms window"
+                "requests queued behind a running pass did not coalesce"
             )
             assert stats["max_batch"] >= 2
         finally:
@@ -300,27 +343,33 @@ class TestMicroBatching:
 
     def test_unknown_request_fails_alone(self, economy):
         """A request naming unknown addresses fails with the shared
-        validation error; the valid request sharing its window still
+        validation error; the valid request sharing its batch still
         scores."""
         _, _, addresses, _, _ = economy
         cluster = _cluster(
-            economy,
-            num_shards=2,
-            num_workers=0,
-            micro_batch=True,
-            micro_batch_window=0.2,
+            economy, num_shards=2, num_workers=0, micro_batch=True
         )
         try:
             serial = cluster.score([addresses[0]])
+            entered, release = _hold_first_pass(cluster)
 
             async def fan_out():
-                return await asyncio.gather(
-                    cluster.async_score([addresses[0]]),
-                    cluster.async_score(["bc1q-nowhere"]),
-                    return_exceptions=True,
+                try:
+                    tasks = await _queue_behind_held_pass(
+                        cluster,
+                        entered,
+                        [addresses[1]],
+                        [[addresses[0]], ["bc1q-nowhere"]],
+                    )
+                finally:
+                    release.set()
+                return await asyncio.wait_for(
+                    asyncio.gather(*tasks, return_exceptions=True),
+                    timeout=60,
                 )
 
-            good, bad = asyncio.run(fan_out())
+            _, good, bad = asyncio.run(fan_out())
+            assert cluster.micro_batch_stats()["max_batch"] == 2
             assert isinstance(bad, ValidationError)
             assert "1 address with no transactions" in str(bad)
             np.testing.assert_allclose(
@@ -329,6 +378,155 @@ class TestMicroBatching:
                 rtol=1e-9,
                 atol=1e-9,
             )
+        finally:
+            cluster.close()
+
+
+    def test_stress_every_request_sealed_once(self, economy):
+        """Closed-loop callers on a cold cluster with a tiny switch
+        interval: every request is sealed exactly once, none hangs on a
+        lost CPU-phase release, and scores equal serial scoring."""
+        _, _, addresses, _, _ = economy
+        cluster = _cluster(
+            economy,
+            num_shards=2,
+            num_workers=0,
+            micro_batch_max_addresses=8,
+        )
+        rng = np.random.default_rng(0)
+        callers, rounds = 16, 12
+        draws = [
+            [
+                [str(a) for a in rng.choice(addresses, size=3)]
+                for _ in range(rounds)
+            ]
+            for _ in range(callers)
+        ]
+
+        async def caller(requests):
+            return [await cluster.async_score(r) for r in requests]
+
+        async def fan_out():
+            return await asyncio.wait_for(
+                asyncio.gather(*(caller(d) for d in draws)), timeout=120
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = asyncio.run(fan_out())
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            serial = cluster.score(addresses)
+            for requests, answers in zip(draws, results):
+                for request, scores in zip(requests, answers):
+                    assert sorted(scores) == sorted(set(request))
+                    for address in request:
+                        np.testing.assert_allclose(
+                            scores[address].probabilities,
+                            serial[address].probabilities,
+                            rtol=1e-9,
+                            atol=1e-9,
+                        )
+            stats = cluster.micro_batch_stats()
+            assert stats["requests"] == callers * rounds
+            assert stats["batched_requests"] == callers * rounds
+        finally:
+            cluster.close()
+
+
+def _relay_after(gate, inner):
+    """A future that takes ``inner``'s outcome only once ``gate`` opens."""
+    outer = Future()
+
+    def relay():
+        if not gate.wait(timeout=60):
+            outer.set_exception(TimeoutError("gate never opened"))
+            return
+        try:
+            outer.set_result(inner.result(timeout=60))
+        except Exception as error:  # relayed to the waiting build
+            outer.set_exception(error)
+
+    threading.Thread(target=relay, daemon=True).start()
+    return outer
+
+
+class TestNoHeadOfLineBlocking:
+    """A batch waiting on its miss builds leaves the CPU phase, so a
+    later warm request is sealed and scored while the build is stuck."""
+
+    @staticmethod
+    def _warm_passes_stuck_cold(cluster, economy, building, gate):
+        _, index, addresses, classifier, _ = economy
+        warm, cold = addresses[0], addresses[1]
+
+        async def run():
+            cold_task = asyncio.ensure_future(cluster.async_score([cold]))
+            try:
+                assert await asyncio.to_thread(building.wait, 30), (
+                    "the cold request never reached its build"
+                )
+                warm_scores = await asyncio.wait_for(
+                    cluster.async_score([warm]), timeout=5
+                )
+                assert not cold_task.done()
+            finally:
+                gate.set()
+            return warm_scores, await asyncio.wait_for(cold_task, 60)
+
+        warm_scores, cold_scores = asyncio.run(run())
+        for address, scores in ((warm, warm_scores), (cold, cold_scores)):
+            np.testing.assert_allclose(
+                scores[address].probabilities,
+                classifier.predict_proba([address], index)[0],
+                rtol=1e-9,
+                atol=1e-9,
+            )
+
+    def test_worker_build(self, economy):
+        _, _, addresses, _, _ = economy
+        cluster = _cluster(economy, num_shards=2, num_workers=1)
+        try:
+            cluster.score([addresses[0]])  # warm it; starts the pool
+            pool = cluster._pool
+            original_submit = pool.submit
+            building = threading.Event()
+            gate = threading.Event()
+
+            def gated_submit(*args):
+                building.set()
+                return _relay_after(gate, original_submit(*args))
+
+            pool.submit = gated_submit
+            self._warm_passes_stuck_cold(cluster, economy, building, gate)
+        finally:
+            cluster.close()
+
+    def test_inline_build(self, economy, monkeypatch):
+        _, _, addresses, _, _ = economy
+        cluster = _cluster(economy, num_shards=2, num_workers=0)
+        try:
+            cluster.score([addresses[0]])
+            cold_shard = cluster.shards[
+                cluster.router.shard_of(addresses[1])
+            ]
+            original_build = GraphConstructionPipeline.build_many_slices
+            building = threading.Event()
+            gate = threading.Event()
+
+            def gated_build(pipeline, index, requests):
+                if index is cold_shard.index:  # not the test's oracle
+                    assert cold_shard.build_lock.locked()
+                    building.set()
+                    assert gate.wait(timeout=60)
+                return original_build(pipeline, index, requests)
+
+            monkeypatch.setattr(
+                GraphConstructionPipeline, "build_many_slices", gated_build
+            )
+            self._warm_passes_stuck_cold(cluster, economy, building, gate)
         finally:
             cluster.close()
 
