@@ -1,8 +1,9 @@
 """Serving throughput — cold / warm / incremental / clustered scoring.
 
-Compares the :class:`~repro.serve.AddressScoringService` against the
-naive loop the offline pipeline implies (rebuild every graph, one
-forward per address) on the same synthetic chain:
+Compares the one-shard inline :class:`~repro.serve.ClusterScoringService`
+(``ClusterConfig(num_shards=1, num_workers=0)``, the single-process
+scorer) against the naive loop the offline pipeline implies (rebuild
+every graph, one forward per address) on the same synthetic chain:
 
 - **naive**: per-address graph rebuild + per-address inference;
 - **cold**: empty cache — batched construction + batched inference;
@@ -84,12 +85,7 @@ from repro import (
     generate_world,
 )
 from repro.nn.inference import plan_execution
-from repro.serve import (
-    AddressScoringService,
-    ClusterConfig,
-    ClusterScoringService,
-    ScoringServiceConfig,
-)
+from repro.serve import ClusterConfig, ClusterScoringService
 from repro.testing import append_self_spend as _append_self_spend
 
 from conftest import save_result
@@ -192,11 +188,11 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
     }
     naive_seconds = time.perf_counter() - start
 
-    service = AddressScoringService(
+    service = ClusterScoringService(
         classifier,
         world.index,
         chain=world.chain,
-        config=ScoringServiceConfig(max_workers=0),
+        config=ClusterConfig(num_shards=1, num_workers=0),
     )
 
     # --- cold: batched, but every slice is a cache miss --------------- #
@@ -267,11 +263,13 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
     # is recorded alongside, ungated.  Sweeps alternate and take the
     # median over repeats so a noisy neighbour on a 1-CPU host cannot
     # decide the gate.
-    infer_service = AddressScoringService(
+    infer_service = ClusterScoringService(
         classifier,
         world.index,
         chain=world.chain,
-        config=ScoringServiceConfig(max_workers=0, embedding_cache=False),
+        config=ClusterConfig(
+            num_shards=1, num_workers=0, embedding_cache=False
+        ),
     )
     infer_service.score(addresses)  # warm slice cache
 

@@ -5,7 +5,7 @@
 # Scans README.md and docs/*.md for
 #   - dotted `repro.*` references        -> import the module prefix and
 #     resolve any trailing attribute (so `repro.graphs.ArrayGraph` and
-#     `repro.serve.AddressScoringService.score` both count),
+#     `repro.serve.ClusterScoringService.score` both count),
 #   - backticked repo paths (scripts/, benchmarks/, tests/, docs/,
 #     src/, examples/ or *.md/*.py/*.sh/*.json at the repo root)
 #     -> must exist on disk,

@@ -39,20 +39,16 @@ from repro.eval import (
 )
 from repro.serve import (
     AddressScore,
-    AddressScoringService,
     CacheStats,
-    ScoringServiceConfig,
     SliceGraphCache,
 )
 
 __all__ = [
     "__version__",
     "AddressScore",
-    "AddressScoringService",
     "BAClassifier",
     "BAClassifierConfig",
     "CacheStats",
-    "ScoringServiceConfig",
     "SliceGraphCache",
     "CLASS_NAMES",
     "AddressLabel",

@@ -71,24 +71,22 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--world", required=True)
     score.add_argument("--model", required=True)
     score.add_argument("--workers", type=int, default=0,
-                       help="construction workers: threads for the "
-                            "single service, processes with --shards "
-                            "(0 = inline)")
-    score.add_argument("--shards", type=int, default=0,
-                       help="shard the scoring service into N shards "
-                            "via ClusterScoringService (0 = unsharded)")
+                       help="construction worker processes "
+                            "(0 = build cache misses inline)")
+    score.add_argument("--shards", type=int, default=1,
+                       help="number of ClusterScoringService shards "
+                            "(1 = one unsharded cache)")
     score.add_argument("--warm-dir", default=None,
                        help="warm-cache store directory: load before "
                             "scoring, save after (keyed by pipeline "
                             "fingerprint + model version)")
     score.add_argument("--store-dir", default=None,
-                       help="memory-mapped chain store directory "
-                            "(cluster mode only): shards read columns "
-                            "from mapped segments instead of deep-"
-                            "copied indexes; created/extended on use")
+                       help="memory-mapped chain store directory: "
+                            "shards read columns from mapped segments "
+                            "instead of deep-copied indexes; "
+                            "created/extended on use")
     score.add_argument("--cache-capacity", type=int, default=4096,
-                       help="slice-cache entries (per shard when "
-                            "--shards > 0)")
+                       help="slice-cache entries per shard")
     score.add_argument("--stats", action="store_true",
                        help="print cache statistics after scoring")
     score.add_argument("--stats-json", default=None, metavar="PATH",
@@ -131,6 +129,11 @@ def _split_from_world(directory: str, min_transactions: int,
                       test_fraction: float, seed: int):
     from repro.datagen.dataset import LabeledAddressDataset
 
+    # Checked before the (slow) world load, like every other flag.
+    if not 0.0 < test_fraction < 1.0:
+        raise ValidationError(
+            f"test_fraction must be in (0, 1), got {test_fraction}"
+        )
     _, index, labels, _ = load_world_chain(directory)
     eligible = [
         (address, label)
@@ -162,10 +165,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    index, train, _ = _split_from_world(
-        args.world, args.min_transactions, args.test_fraction, args.seed
-    )
-    print(f"Training on {len(train)} addresses ...")
     classifier = BAClassifier(
         BAClassifierConfig(
             slice_size=args.slice_size,
@@ -175,6 +174,10 @@ def _cmd_train(args) -> int:
             seed=args.seed,
         )
     )
+    index, train, _ = _split_from_world(
+        args.world, args.min_transactions, args.test_fraction, args.seed
+    )
+    print(f"Training on {len(train)} addresses ...")
     classifier.fit(train.addresses, train.labels, index)
     classifier.save(args.out)
     print(f"Model saved to {args.out}")
@@ -207,40 +210,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    from repro.serve import (
-        AddressScoringService,
-        ClusterConfig,
-        ClusterScoringService,
-        ScoringServiceConfig,
-    )
+    from repro.serve import ClusterConfig, ClusterScoringService
 
-    if args.store_dir and args.shards <= 0:
-        print("error: --store-dir requires --shards > 0 "
-              "(the chain store backs cluster shards)",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.shards > 0:
-            config = ClusterConfig(
-                num_shards=args.shards,
-                num_workers=args.workers,
-                cache_capacity=args.cache_capacity,
-                store_dir=args.store_dir,
-            )
-        else:
-            config = ScoringServiceConfig(
-                cache_capacity=args.cache_capacity,
-                max_workers=args.workers,
-            )
-    except ValidationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    config = ClusterConfig(
+        num_shards=args.shards,
+        num_workers=args.workers,
+        cache_capacity=args.cache_capacity,
+        store_dir=args.store_dir,
+    )
     chain, index, _, _ = load_world_chain(args.world)
     classifier = BAClassifier.load(args.model)
-    service_class = (
-        ClusterScoringService if args.shards > 0 else AddressScoringService
-    )
-    service = service_class(
+    service = ClusterScoringService(
         classifier,
         index,
         chain=chain,
@@ -273,14 +253,11 @@ def _cmd_score(args) -> int:
             f"invalidations={stats.invalidations} "
             f"hit_rate={stats.hit_rate:.2%}"
         )
-        if args.shards > 0:
-            for row in service.shard_stats():
-                print(
-                    "  shard {shard}: entries={entries} "
-                    "nbytes={nbytes} hits={hits} misses={misses}".format(
-                        **row
-                    )
-                )
+        for row in service.shard_stats():
+            print(
+                "  shard {shard}: entries={entries} "
+                "nbytes={nbytes} hits={hits} misses={misses}".format(**row)
+            )
     if args.stats_json:
         from repro import obs
         from repro.obs import render_json
@@ -329,9 +306,19 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Invalid input (a :class:`~repro.errors.ValidationError`) prints one
+    ``error:`` line and exits 2 instead of a traceback; verbs check
+    their flags before loading the world or model, so a bad flag fails
+    fast.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValidationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

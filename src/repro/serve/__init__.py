@@ -1,12 +1,11 @@
 """The serving layer: cached, batched, sharded address scoring.
 
-Wraps a chain index, the graph-construction pipeline, and a trained
-classifier behind one ``score(addresses)`` API with slice-graph caching,
-incremental invalidation on block append, worker-pool construction, and
-block-diagonal batched inference
-(:class:`~repro.serve.service.AddressScoringService`) — plus the
-scale-out layer above it
-(:class:`~repro.serve.cluster.ClusterScoringService`): deterministic
+:class:`~repro.serve.cluster.ClusterScoringService` wraps a chain
+index, the graph-construction pipeline, and a trained classifier behind
+one ``score(addresses)`` API with slice-graph caching, incremental
+invalidation on block append, and block-diagonal batched inference.
+One inline shard (``ClusterConfig(num_shards=1, num_workers=0)``) is
+the plain single-process scorer; more shards add deterministic
 address-prefix sharding (:class:`~repro.serve.router.ShardRouter`),
 live multi-process miss construction with streamed block-append
 ingestion, per-shard locking so disjoint queries overlap, an asyncio
@@ -18,22 +17,16 @@ persistence keyed by pipeline fingerprint and encoder version
 from repro.serve.cache import CacheKey, CacheStats, SliceGraphCache
 from repro.serve.cluster import ClusterConfig, ClusterScoringService
 from repro.serve.router import ShardRouter
-from repro.serve.service import (
-    AddressScore,
-    AddressScoringService,
-    ScoringServiceConfig,
-)
+from repro.serve.service import AddressScore
 from repro.serve.store import CacheStore, WarmState, encoder_version
 
 __all__ = [
     "AddressScore",
-    "AddressScoringService",
     "CacheKey",
     "CacheStats",
     "CacheStore",
     "ClusterConfig",
     "ClusterScoringService",
-    "ScoringServiceConfig",
     "ShardRouter",
     "SliceGraphCache",
     "WarmState",

@@ -1,16 +1,16 @@
-"""LRU cache of slice-graph payloads for the scoring service.
+"""LRU cache of slice-graph payloads for the scoring cluster's shards.
 
 Graph construction dominates the cost of scoring an address (paper
 Table V), and completed transaction slices never change on an
 append-only chain — so the serving layer caches per-slice payloads
 keyed by ``(address, slice_index, pipeline-config fingerprint)``.  The
-fingerprint component guarantees that services built over different
+fingerprint component guarantees that clusters built over different
 construction parameters never share entries.
 
 The cache is payload-agnostic: entries may be compact columnar
 :class:`~repro.graphs.arrays.ArrayGraph` slices, fully encoded
-:class:`~repro.gnn.data.EncodedGraph` tensors (what
-:class:`~repro.serve.service.AddressScoringService` stores, built
+:class:`~repro.gnn.data.EncodedGraph` tensors (what each shard of
+:class:`~repro.serve.cluster.ClusterScoringService` stores, built
 zero-copy from the arrays), per-slice embedding rows (the
 encoder-version-keyed embedding cache of the serving layer), or
 anything else keyed the same way.  Payloads exposing an ``nbytes``

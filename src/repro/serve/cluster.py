@@ -1,10 +1,13 @@
 """``repro.serve.cluster`` — sharded multi-process scoring with warm caches.
 
-:class:`~repro.serve.service.AddressScoringService` amortises repeat
-queries beautifully, but its construction parallelism is thread-bound:
-under the GIL, the CPU-heavy miss path (Stages 1–4 plus encoding) runs
-one core no matter how many worker threads it owns.
-:class:`ClusterScoringService` is the scale-out layer above it:
+:class:`ClusterScoringService` is the one serving core: cached, batched
+``score(addresses)`` over a fitted classifier, from one inline shard
+(``ClusterConfig(num_shards=1, num_workers=0)`` — the plain
+single-process scorer) up to N shards whose cache misses are built by
+worker processes, so the CPU-heavy miss path (Stages 1–4 plus
+encoding) is not bound to one core by the GIL.  The shard-independent
+pieces — freshness protocol, inference tail, warm-state codec — live in
+:mod:`repro.serve.service`.
 
 - **Sharding.**  A :class:`~repro.serve.router.ShardRouter`
   deterministically partitions the address space by address-prefix hash
@@ -32,7 +35,8 @@ one core no matter how many worker threads it owns.
   **Inference stays in the parent**: the trained model is loaded
   exactly once, and all shards' slice sequences share one
   block-diagonal GNN batch + one padded sequence-head pass, so results
-  are 1e-9-parity with the single service.
+  are 1e-9-parity with naive ``BAClassifier.predict_proba`` for every
+  ``(shards, workers)`` configuration.
 - **Per-shard locking.**  The service lock only guards lifecycle state
   (chain subscription, pool/executor/batcher handles, the sync
   watermark).  Queries plan, build, and commit under the owning
@@ -42,8 +46,9 @@ one core no matter how many worker threads it owns.
   post-append state (see :meth:`_Shard.commit_members`).
 - **Invalidation.**  Block appends route each touched address to its
   owning shard and drop exactly the dirtied trailing slices there
-  (same ``(timestamp, txid)`` insertion-point protocol as the single
-  service), bumping the shard version so racing queries re-plan.
+  (the ``(timestamp, txid)`` insertion-point protocol of
+  :func:`~repro.serve.service._invalidate_address`), bumping the shard
+  version so racing queries re-plan.
   Growth observed *without* block events re-slices the shard indexes
   from the parent index tail before planning, so an unconnected
   cluster degrades to full rebuilds of grown addresses instead of
@@ -53,7 +58,7 @@ one core no matter how many worker threads it owns.
   keyed by ``(pipeline fingerprint, model version)``;
   :meth:`~ClusterScoringService.load_warm` re-routes every stored
   entry through the *current* router, so a store written with N shards
-  can warm a cluster resharded to M (or a plain single service).
+  can warm a cluster resharded to M.
 - **Async front end with micro-batching.**
   :meth:`~ClusterScoringService.async_score` runs queries on the
   cluster's own bounded executor (never the event loop's default one),
@@ -106,9 +111,6 @@ from repro.serve.cache import (
 from repro.serve.router import DEFAULT_PREFIX_LENGTH, ShardRouter
 from repro.serve.service import (
     AddressScore,
-    _SERVE_ADDRESSES,
-    _SERVE_REQUESTS,
-    _SERVE_SECONDS,
     _class_name_mapping,
     _export_warm_state,
     _import_warm_state,
@@ -138,6 +140,12 @@ _MB_BATCHES = obs.counter("micro_batches_total")
 _MB_BATCHED = obs.counter("micro_batched_requests_total")
 _MB_QUEUE_DEPTH = obs.gauge("micro_batch_queue_depth")
 _MB_OLDEST_WAIT = obs.gauge("micro_batch_oldest_wait_seconds")
+
+#: Request-level metrics: one scoring pass == one request (the
+#: micro-batcher may merge several callers into one pass).
+_SERVE_REQUESTS = obs.counter("serve_requests_total")
+_SERVE_ADDRESSES = obs.counter("serve_addresses_total")
+_SERVE_SECONDS = obs.histogram("serve_request_seconds")
 
 
 def _observe_lock_wait(wait_start: float) -> None:
@@ -1026,14 +1034,29 @@ def _fail_future(future: Future, error: BaseException) -> None:
 class ClusterScoringService:
     """Sharded, multi-process ``score(addresses)`` over a fitted model.
 
-    Drop-in for :class:`~repro.serve.service.AddressScoringService` —
-    same constructor shape, same ``score`` / ``score_one`` /
-    ``connect`` / ``disconnect`` / ``close`` surface, same incremental
-    invalidation semantics — with construction spread over
-    ``config.num_workers`` live worker processes, state spread over
+    ``score`` / ``score_one`` / ``async_score`` with incremental
+    invalidation (``connect`` / ``disconnect`` / ``close``), with
+    construction spread over ``config.num_workers`` live worker
+    processes (0 builds inline), state spread over
     ``config.num_shards`` independently-locked shards, and an async
     front end that micro-batches concurrent requests.  See the module
     docstring for the design.
+
+    Parameters
+    ----------
+    classifier:
+        A fitted :class:`~repro.core.BAClassifier` (trained or loaded).
+    index:
+        The chain index to read transaction histories from.  In-memory
+        mode copies it into one filtered slice per shard
+        (:meth:`~repro.chain.explorer.ChainIndex.sharded`) — one shard
+        included; store mode maps it instead.
+    chain:
+        Optional chain to subscribe to for incremental invalidation;
+        equivalent to calling :meth:`connect` afterwards.
+    class_names:
+        Optional ``{label: name}`` mapping (or label-indexed sequence)
+        for human-readable results.
 
     Lock order (outermost first): service ``_lock`` → shard locks in
     ascending ``shard_id`` order → cache-internal leaf locks.  Queries
@@ -1131,10 +1154,14 @@ class ClusterScoringService:
     def connect(self, chain: Blockchain) -> None:
         """Subscribe to ``chain`` so appends invalidate shard caches.
 
-        Same trust semantics as the single service: coverage built
-        while not listening cannot be vouched for, so connecting drops
-        existing shard cache contents (a same-chain re-connect is a
-        no-op and keeps everything warm).  Shard index slices are
+        Block events are what let the cluster locate exactly which
+        cached slices an append dirties; an unconnected cluster stays
+        correct by fully rebuilding any address whose transaction count
+        grew, at the cost of incrementality.  Coverage built while not
+        listening cannot be vouched for, so connecting drops existing
+        shard cache contents (a same-chain re-connect is a no-op and
+        keeps everything warm; connecting to a different chain first
+        detaches the previous subscription).  Shard index slices are
         re-synced from the parent index first, in case it grew while
         unconnected.
         """
@@ -1199,8 +1226,8 @@ class ClusterScoringService:
 
         Each touched address routes to its owning shard, where exactly
         the slices at or after the block's insertion point into that
-        address's history are dropped — the cross-shard form of the
-        single service's incremental invalidation — and the shard
+        address's history are dropped — slices strictly before that
+        insertion point stay cached — and the shard
         version is bumped so racing queries re-plan.  The same
         transactions are streamed to the live worker pool as an ingest
         message *inside* the shard-lock critical section: any query
@@ -1266,8 +1293,9 @@ class ClusterScoringService:
         :meth:`~repro.chain.explorer.ChainIndex.ingest_transactions` —
         O(new transactions), not a from-scratch re-slice) and streams
         the same tail to the live workers; coverage trust is handled
-        separately by the planning protocol, exactly like the single
-        service's unconnected path.  Caller holds the service lock.
+        separately by the planning protocol
+        (:func:`~repro.serve.service._plan_slices`).  Caller holds the
+        service lock.
         """
         if self.index.total_transactions() <= self._synced_transactions:
             return
@@ -1298,8 +1326,8 @@ class ClusterScoringService:
 
         Misses are planned per shard, built by the live worker pool
         (one task per shard with misses), and inference runs once in
-        the parent over every shard's sequences — scores match the
-        single service to 1e-9.  Raises
+        the parent over every shard's sequences — scores match naive
+        ``BAClassifier.predict_proba`` to 1e-9.  Raises
         :class:`~repro.errors.ValidationError` for addresses with no
         transactions on chain.  Thread-safe: queries only serialise
         where they actually overlap — each plan/commit takes the owning
@@ -1371,13 +1399,16 @@ class ClusterScoringService:
         with obs.span("serve.score"):
             _SERVE_REQUESTS.inc()
             _SERVE_ADDRESSES.inc(len(addresses))
-            scores = self._score_addresses_traced(addresses, on_build)
+            partition = self.router.partition(addresses)
+            scores = self._score_addresses_traced(
+                addresses, partition, on_build
+            )
         _SERVE_SECONDS.observe(time.perf_counter() - request_start)
         # Ship the request's batched cache hit/miss deltas into the
         # registry.  Only the shards this request touched: taking every
         # shard's lock here would reintroduce exactly the cross-shard
         # contention the per-shard locking design removed.
-        for shard_id in sorted(self.router.partition(addresses)):
+        for shard_id in sorted(partition):
             shard = self.shards[shard_id]
             with shard.lock:
                 shard.cache.flush_metrics()
@@ -1388,21 +1419,21 @@ class ClusterScoringService:
     def _score_addresses_traced(
         self,
         addresses: List[str],
+        partition: Dict[int, List[str]],
         on_build: Optional[Callable[[], None]],
     ) -> Dict[str, AddressScore]:
-        """The :meth:`_score_addresses` body, run under ``serve.score``."""
+        """The :meth:`_score_addresses` body, run under ``serve.score``.
+
+        ``partition`` is the request's one routing pass; planning,
+        commit retries and the embedding-cache lookup all reuse it.
+        """
         with self._lock:
             self._refresh_stale_shards_locked()
             connected = self._chain is not None
         slice_size = self.pipeline_config.slice_size
         sequences: Dict[str, List[EncodedGraph]] = {}
         untrusted: Set[Tuple[str, int]] = set()
-        pending = {
-            shard_id: list(members)
-            for shard_id, members in self.router.partition(
-                addresses
-            ).items()
-        }
+        pending = dict(partition)
         while pending:
             plans = {}
             to_build: Dict[int, Dict[str, List[int]]] = {}
@@ -1445,19 +1476,20 @@ class ClusterScoringService:
                     untrusted |= shard_untrusted
             pending = retry
 
-        # Inference — parent process only, model loaded once: the
-        # shared tail runs one block-diagonal GNN pass + one padded
-        # sequence-head pass over every shard's sequences, in input
-        # address order (the same body the single service scores
-        # through, which is what keeps the two identical).
+        # Inference — parent process only, model loaded once: one
+        # block-diagonal GNN pass + one padded sequence-head pass over
+        # every shard's sequences, in input address order.
+        embeddings_of = {
+            address: self.shards[shard_id].embeddings
+            for shard_id, members in partition.items()
+            for address in members
+        }
         return _score_sequences(
             self.classifier,
             addresses,
             sequences,
             untrusted,
-            lambda address: self.shards[
-                self.router.shard_of(address)
-            ].embeddings,
+            embeddings_of.__getitem__,
             self.embedding_fingerprint,
             self.config.graph_batch_size,
             self.config.sequence_batch_size,
@@ -1677,8 +1709,10 @@ class ClusterScoringService:
 
         Every bundle under this cluster's store key is loaded and each
         entry re-routed through the *current* router, so restores
-        survive resharding (and stores written by an unsharded service
-        load fine).  Only addresses whose current transaction count
+        survive resharding.  A bundle that fails to load — corrupt,
+        truncated by a crashed save — is skipped, so an unusable store
+        degrades to a cold start.  Only addresses whose current
+        transaction count
         matches the recorded coverage are trusted; the rest rebuild
         cold.  Call after :meth:`connect` (connecting drops coverage by
         design).  Returns the number of slice entries restored.

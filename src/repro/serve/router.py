@@ -66,8 +66,11 @@ class ShardRouter:
         BLAKE2b over the UTF-8 bytes of the address prefix, reduced
         modulo ``num_shards`` — no process-salted hashing anywhere, so
         a router with the same parameters routes identically in every
-        worker, replica, and restart.
+        worker, replica, and restart.  A one-shard router owns every
+        address and skips the hash.
         """
+        if self.num_shards == 1:
+            return 0
         prefix = (
             address
             if self.prefix_length is None
@@ -83,7 +86,9 @@ class ShardRouter:
 
         Returns ``{shard: [addresses...]}`` containing only non-empty
         shards; within a shard, addresses keep their input order (the
-        order cluster scoring reassembles results in).
+        order cluster scoring reassembles results in).  Each address is
+        hashed once, so callers route a request with one call and reuse
+        the result.
         """
         shards: Dict[int, List[str]] = {}
         for address in addresses:

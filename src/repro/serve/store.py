@@ -22,10 +22,9 @@ plain ndarray columns so a replica can come back *warm*:
   memoised model-cache arrays such as GFN's propagated features);
   embedding rows are stacked into one matrix.
 - **Bundles.**  A store holds one bundle per shard (the cluster layer
-  names them ``shard_0000`` …) or a single ``service`` bundle; loaders
-  iterate every bundle and re-route entries through their own shard
-  router, so a store written by an N-shard cluster can warm an M-shard
-  cluster or an unsharded service.
+  names them ``shard_0000`` …); loaders iterate every bundle, whatever
+  its name, and re-route entries through their own shard router, so a
+  store written by an N-shard cluster can warm an M-shard cluster.
 - **Trust.**  Each bundle records the transaction count every cached
   address was built at (``covered``).  Loading only trusts an address
   whose *current* on-chain count still equals the recorded one — any

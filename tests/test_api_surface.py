@@ -104,7 +104,7 @@ class TestDocumentedSurface:
         import repro.serve as serve
 
         for name in (
-            "AddressScoringService",
+            "AddressScore",
             "CacheStore",
             "ClusterConfig",
             "ClusterScoringService",

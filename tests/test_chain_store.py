@@ -38,11 +38,7 @@ from repro.core import BAClassifier, BAClassifierConfig
 from repro.errors import ChainStoreError
 from repro.gnn.data import encode_graph
 from repro.graphs import GraphConstructionPipeline, GraphPipelineConfig
-from repro.serve import (
-    AddressScoringService,
-    ClusterConfig,
-    ClusterScoringService,
-)
+from repro.serve import ClusterConfig, ClusterScoringService
 from repro.testing import append_self_spend, random_chain
 
 SMOKE_SEEDS = [11, 12]
@@ -139,6 +135,15 @@ def _assert_pipeline_parity(index, view, addresses):
             )
 
 
+def _inline_cluster(classifier, index):
+    """The one-shard cluster with inline builds, over ``index``."""
+    return ClusterScoringService(
+        classifier,
+        index,
+        config=ClusterConfig(num_shards=1, num_workers=0),
+    )
+
+
 def _parity_case(seed, tmp_path):
     chain, index, addresses = random_chain(seed, num_wallets=3, rounds=8)
     store, view = _store_view(index, tmp_path / f"store{seed}")
@@ -147,19 +152,16 @@ def _parity_case(seed, tmp_path):
         _assert_pipeline_parity(index, view, addresses)
 
         classifier = _fit_classifier(index, addresses)
-        single = AddressScoringService(classifier, index)
-        baseline = single.score(addresses)
-        single.close()
-        backed = AddressScoringService(classifier, view)
+        baseline = classifier.predict_proba(addresses, index)
+        backed = _inline_cluster(classifier, view)
         scores = backed.score(addresses)
         backed.close()
-        for address in addresses:
-            np.testing.assert_allclose(
-                scores[address].probabilities,
-                baseline[address].probabilities,
-                rtol=1e-9,
-                atol=1e-9,
-            )
+        np.testing.assert_allclose(
+            np.stack([scores[a].probabilities for a in addresses]),
+            baseline,
+            rtol=1e-9,
+            atol=1e-9,
+        )
     finally:
         view.close()
         store.close()
@@ -285,9 +287,7 @@ class TestDurability:
             tmp_path
         )
         classifier = _fit_classifier(index, addresses)
-        single = AddressScoringService(classifier, index)
-        baseline = single.score(addresses)
-        single.close()
+        baseline = classifier.predict_proba(addresses, index)
 
         victim = directory / "seg_00000001.out_values.npy"
         payload = victim.read_bytes()
@@ -298,17 +298,16 @@ class TestDurability:
             assert store.recovered_tail == "seg_00000001"
             store.sync_from_index(index)
             view = StoreBackedChainIndex(store)
-            service = AddressScoringService(classifier, view)
+            service = _inline_cluster(classifier, view)
             scores = service.score(addresses)
             service.close()
             view.close()
-            for address in addresses:
-                np.testing.assert_allclose(
-                    scores[address].probabilities,
-                    baseline[address].probabilities,
-                    rtol=1e-9,
-                    atol=1e-9,
-                )
+            np.testing.assert_allclose(
+                np.stack([scores[a].probabilities for a in addresses]),
+                baseline,
+                rtol=1e-9,
+                atol=1e-9,
+            )
         finally:
             store.close()
 
@@ -345,15 +344,12 @@ class TestClusterLifecycle:
     def economy(self):
         chain, index, addresses = random_chain(41, num_wallets=3, rounds=8)
         classifier = _fit_classifier(index, addresses)
-        single = AddressScoringService(classifier, index)
-        baseline = single.score(addresses)
-        single.close()
-        return chain, index, addresses, classifier, baseline
+        return chain, index, addresses, classifier
 
     def test_append_remaps_without_restart(self, economy, tmp_path):
         """A block append streams a tail segment; live workers remap it
         instead of being restarted or re-pickled an index."""
-        chain, index, addresses, classifier, _ = economy
+        chain, index, addresses, classifier = economy
         service = ClusterScoringService(
             classifier,
             index,
@@ -364,27 +360,24 @@ class TestClusterLifecycle:
         try:
             service.score(addresses)
             append_self_spend(chain, addresses[0])
-            single = AddressScoringService(classifier, index)
-            expected = single.score(addresses)
-            single.close()
+            expected = classifier.predict_proba(addresses, index)
             scores = service.score(addresses)
             stats = service.pool_stats()
             assert stats["starts"] == stats["workers"] == 1, stats
             assert stats["remaps"] >= 1, stats
-            for address in addresses:
-                np.testing.assert_allclose(
-                    scores[address].probabilities,
-                    expected[address].probabilities,
-                    rtol=1e-9,
-                    atol=1e-9,
-                )
+            np.testing.assert_allclose(
+                np.stack([scores[a].probabilities for a in addresses]),
+                expected,
+                rtol=1e-9,
+                atol=1e-9,
+            )
         finally:
             service.close()
 
     def test_close_releases_every_mapped_segment(self, economy, tmp_path):
         """close() must drop every memmap: the process fd table returns
         to its pre-open size once the service is closed and collected."""
-        _, index, addresses, classifier, _ = economy
+        _, index, addresses, classifier = economy
         gc.collect()
         before = _fd_count()
         service = ClusterScoringService(
@@ -404,12 +397,10 @@ class TestClusterLifecycle:
     def test_store_backed_warm_restart(self, economy, tmp_path):
         """A fresh store-backed cluster over the same directory restores
         the warm cache and scores with zero construction misses."""
-        _, index, addresses, classifier, _ = economy
+        _, index, addresses, classifier = economy
         # Earlier tests may have appended blocks to the class-scoped
         # economy — score the index as it stands now.
-        single = AddressScoringService(classifier, index)
-        baseline = single.score(addresses)
-        single.close()
+        baseline = classifier.predict_proba(addresses, index)
         store_dir = tmp_path / "store"
         warm_dir = tmp_path / "warm"
         warm_dir.mkdir()
@@ -435,13 +426,12 @@ class TestClusterLifecycle:
             assert fresh.load_warm(warm_dir) > 0
             scores = fresh.score(addresses)
             assert fresh.stats.misses == 0, fresh.stats.snapshot()
-            for address in addresses:
-                np.testing.assert_allclose(
-                    scores[address].probabilities,
-                    baseline[address].probabilities,
-                    rtol=1e-9,
-                    atol=1e-9,
-                )
+            np.testing.assert_allclose(
+                np.stack([scores[a].probabilities for a in addresses]),
+                baseline,
+                rtol=1e-9,
+                atol=1e-9,
+            )
         finally:
             fresh.close()
 

@@ -32,7 +32,7 @@ class TestParser:
         assert args.cache_capacity == 64
         assert args.stats is True
         assert args.addresses == ["addr1", "addr2"]
-        assert args.shards == 0  # unsharded by default
+        assert args.shards == 1  # one inline shard by default
         assert args.warm_dir is None
 
     def test_score_cluster_args(self):
@@ -46,29 +46,50 @@ class TestParser:
         assert args.warm_dir == "/tmp/warm"
         assert args.store_dir == "/tmp/chain_store"
 
-    def test_store_dir_requires_shards(self, capsys):
-        """--store-dir backs cluster shards; unsharded use exits 2
-        before touching the world or model paths."""
-        assert main(
-            ["score", "--world", "w", "--model", "m",
-             "--store-dir", "/tmp/chain_store", "addr1"]
-        ) == 2
-        assert "--store-dir requires --shards" in capsys.readouterr().err
+    def test_workers_help_names_processes(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["score", "--help"])
+        help_text = capsys.readouterr().out
+        assert "construction worker processes" in help_text
+        assert "threads" not in help_text
 
     @pytest.mark.parametrize(
         "flags, message",
         [
             (["--shards", "2", "--workers", "-1"], "num_workers"),
             (["--cache-capacity", "0"], "cache_capacity"),
+            (["--shards", "0"], "num_shards"),
         ],
     )
     def test_invalid_service_config_exits_two(self, flags, message,
                                               capsys):
-        """A config ValidationError (cluster or single service) prints
-        one ``error:`` line and exits 2, before touching the world or
-        model paths."""
+        """A cluster config ValidationError prints one ``error:`` line
+        and exits 2, before touching the world or model paths."""
         assert main(
             ["score", "--world", "w", "--model", "m", *flags, "addr1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--out", "m", "--slice-size", "0"], "slice_size"),
+            (["train", "--out", "m", "--test-fraction", "2"],
+             "test_fraction"),
+            (["evaluate", "--model", "m", "--test-fraction", "2"],
+             "test_fraction"),
+        ],
+    )
+    def test_invalid_training_input_exits_two(self, argv, message,
+                                              tmp_path, capsys):
+        """Bad train/evaluate flags print one ``error:`` line and exit
+        2 before the world is loaded (the world path does not exist)."""
+        verb, *flags = argv
+        assert main(
+            [verb, "--world", str(tmp_path / "missing"), *flags]
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

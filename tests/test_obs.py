@@ -29,7 +29,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import Tracer
 from repro.serve.cluster import ClusterConfig, ClusterScoringService
-from repro.serve.service import AddressScoringService
 from repro.testing import append_self_spend, random_chain
 
 SLICE_SIZE = 4
@@ -276,10 +275,21 @@ def _walk(span):
         yield from _walk(child)
 
 
+def _inline_cluster(classifier, index):
+    """The one-shard cluster with inline builds (no worker processes)."""
+    return ClusterScoringService(
+        classifier,
+        index,
+        config=ClusterConfig(num_shards=1, num_workers=0),
+    )
+
+
 class TestSingleServiceWiring:
+    """Registry and trace wiring of the one-shard inline cluster."""
+
     def test_score_produces_request_trace_and_counters(self, economy):
         _, index, addresses, classifier = economy
-        service = AddressScoringService(classifier, index)
+        service = _inline_cluster(classifier, index)
         try:
             service.score(addresses[:3])
         finally:
@@ -300,7 +310,7 @@ class TestSingleServiceWiring:
 
     def test_cache_counters_match_legacy_stats(self, economy):
         _, index, addresses, classifier = economy
-        service = AddressScoringService(classifier, index)
+        service = _inline_cluster(classifier, index)
         try:
             service.score(addresses[:3])
             service.score(addresses[:3])
@@ -446,7 +456,7 @@ class TestClusterCrossProcess:
 
         modules = (classifier.encoder, classifier.head)
         before = [plan_stats(m) for m in modules]
-        service = AddressScoringService(classifier, index)
+        service = _inline_cluster(classifier, index)
         try:
             service.score(addresses[:3])
             service.score(addresses[:3])
@@ -531,7 +541,7 @@ class TestDisabledOverhead:
     def test_disabled_layer_records_nothing(self, economy):
         _, index, addresses, classifier = economy
         obs.set_enabled(False)
-        service = AddressScoringService(classifier, index)
+        service = _inline_cluster(classifier, index)
         try:
             service.score(addresses[:3])
         finally:

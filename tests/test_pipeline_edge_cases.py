@@ -30,7 +30,7 @@ from repro.graphs import (
     extract_array_graphs,
     flatten_graphs,
 )
-from repro.serve import AddressScoringService
+from repro.serve import ClusterConfig, ClusterScoringService
 
 SLICE_SIZE = 2
 
@@ -89,7 +89,11 @@ def edge_service(edge_world):
     )
     train = [addrs["busy"], addrs["burst"]]
     classifier.fit(train, np.array([0, 1], dtype=np.int64), index)
-    return AddressScoringService(classifier, index)
+    return ClusterScoringService(
+        classifier,
+        index,
+        config=ClusterConfig(num_shards=1, num_workers=0),
+    )
 
 
 def _pipeline():
@@ -192,11 +196,17 @@ class TestOutputOnlyAddress:
         np.testing.assert_array_equal(vector[2 * NODE_FEATURE_DIM :], 0.0)
 
     def test_batch_scoring_mixed_shapes(self, edge_world, edge_service):
-        """One batch containing every awkward shape at once."""
-        _, _, addrs = edge_world
-        scores = edge_service.score(
-            [addrs["busy"], addrs["single"], addrs["burst"]]
-        )
+        """One batch containing every awkward shape at once, matching
+        the naive ``predict_proba`` oracle."""
+        _, index, addrs = edge_world
+        batch = [addrs["busy"], addrs["single"], addrs["burst"]]
+        scores = edge_service.score(batch)
         for score in scores.values():
             assert np.all(np.isfinite(score.probabilities))
             assert score.probabilities.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(
+            np.stack([scores[a].probabilities for a in batch]),
+            edge_service.classifier.predict_proba(batch, index),
+            rtol=1e-9,
+            atol=1e-9,
+        )

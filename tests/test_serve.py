@@ -1,8 +1,11 @@
 """The serving layer: cache behavior, invalidation, batched equivalence.
 
-Built over a small hand-driven chain (wallets paying each other across
-mined blocks) so the fixtures stay fast; the classifier is trained for a
-single epoch — serving correctness does not depend on model quality.
+Scoring runs on the one-shard inline cluster
+(``ClusterConfig(num_shards=1, num_workers=0)``), the plain
+single-process scorer.  Built over a small hand-driven chain (wallets
+paying each other across mined blocks) so the fixtures stay fast; the
+classifier is trained for a single epoch — serving correctness does not
+depend on model quality.
 """
 
 import numpy as np
@@ -25,8 +28,8 @@ from repro.testing import append_self_spend as _append_self_spend
 from repro.errors import NotFittedError, ValidationError
 from repro.graphs import GraphPipelineConfig
 from repro.serve import (
-    AddressScoringService,
-    ScoringServiceConfig,
+    ClusterConfig,
+    ClusterScoringService,
     SliceGraphCache,
 )
 
@@ -76,7 +79,12 @@ def setup():
     return _build_chain()
 
 
-def _service(setup, **kwargs):
+def _inline(**overrides):
+    """A one-shard cluster config with inline (in-process) builds."""
+    return ClusterConfig(num_shards=1, num_workers=0, **overrides)
+
+
+def _service(setup, config=None, **kwargs):
     chain, index, addresses = setup
     clf = BAClassifier(
         BAClassifierConfig(
@@ -91,7 +99,9 @@ def _service(setup, **kwargs):
     )
     labels = np.array([i % 2 for i in range(len(addresses))], dtype=np.int64)
     clf.fit(addresses, labels, index)
-    return clf, AddressScoringService(clf, index, **kwargs)
+    return clf, ClusterScoringService(
+        clf, index, config=config or _inline(), **kwargs
+    )
 
 
 def _total_slices(index, addresses, slice_size=SLICE_SIZE):
@@ -300,7 +310,7 @@ class TestScoringService:
         service.score(addresses)
         assert service.stats.misses == total
         assert service.stats.hits == 0
-        assert len(service.cache) == total
+        assert len(service.shards[0].cache) == total
 
         service.score(addresses)
         assert service.stats.hits == total
@@ -338,23 +348,6 @@ class TestScoringService:
                 atol=1e-9,
             )
 
-    def test_worker_pool_matches_inline(self, setup):
-        _, _, addresses = setup
-        _, inline = _service(setup)
-        _, pooled = _service(
-            setup, config=ScoringServiceConfig(max_workers=4)
-        )
-        a = inline.score(addresses)
-        b = pooled.score(addresses)
-        for address in addresses:
-            np.testing.assert_allclose(
-                a[address].probabilities,
-                b[address].probabilities,
-                rtol=0,
-                atol=0,
-            )
-        assert pooled.stats.misses == inline.stats.misses
-
     def test_warm_results_stable(self, setup):
         _, _, addresses = setup
         _, service = _service(setup)
@@ -377,7 +370,7 @@ class TestScoringService:
         _, index, _ = setup
         clf = BAClassifier(BAClassifierConfig(slice_size=SLICE_SIZE))
         with pytest.raises(NotFittedError):
-            AddressScoringService(clf, index)
+            ClusterScoringService(clf, index, config=_inline())
 
     def test_evicted_trusted_slices_reuse_embeddings(self, setup):
         """LRU slice-cache thrash must not defeat the embedding cache:
@@ -385,7 +378,7 @@ class TestScoringService:
         its memoised embedding row is served instead of recomputed."""
         _, index, addresses = setup
         _, service = _service(
-            setup, config=ScoringServiceConfig(cache_capacity=2)
+            setup, config=_inline(cache_capacity=2)
         )
         total = _total_slices(index, addresses)
         service.score(addresses)  # cold: every row computed once
@@ -399,12 +392,12 @@ class TestScoringService:
         _, _, addresses = setup
         _, unbounded = _service(setup)
         _, tiny = _service(
-            setup, config=ScoringServiceConfig(cache_capacity=2)
+            setup, config=_inline(cache_capacity=2)
         )
         expected = unbounded.score(addresses)
         got = tiny.score(addresses)
         tiny.score(addresses)  # evicted entries rebuilt transparently
-        assert len(tiny.cache) <= 2
+        assert len(tiny.shards[0].cache) <= 2
         assert tiny.stats.evictions > 0
         for address in addresses:
             np.testing.assert_allclose(
@@ -481,12 +474,12 @@ class TestInvalidation:
             a for a in addresses if chain.utxo_set.balance_of(a) > 0
         )
         _append_self_spend(chain, target)
-        covered_after_first = service._covered[target]
-        cached_after_first = len(service.cache)
+        covered_after_first = service.shards[0].covered[target]
+        cached_after_first = len(service.shards[0].cache)
         for _ in range(3):  # further appends: nothing more to drop
             _append_self_spend(chain, target)
-        assert service._covered[target] == covered_after_first
-        assert len(service.cache) == cached_after_first
+        assert service.shards[0].covered[target] == covered_after_first
+        assert len(service.shards[0].cache) == cached_after_first
 
     def test_old_timestamp_tx_invalidates_interior_slices(self, setup):
         """A transaction mined late with an *old* timestamp re-sorts into
@@ -535,10 +528,11 @@ class TestInvalidation:
             a for a in addresses if chain.utxo_set.balance_of(a) > 0
         )
         service.score(addresses)
-        assert len(service.cache) > 0
+        assert len(service.shards[0].cache) > 0
         _append_self_spend(chain, target)  # unobserved
         service.connect(chain)
-        assert len(service.cache) == 0  # stale-capable coverage dropped
+        # stale-capable coverage dropped
+        assert len(service.shards[0].cache) == 0
         rescored = service.score(addresses)
         fresh = clf.predict_proba([target], index)[0]
         np.testing.assert_allclose(
@@ -583,26 +577,15 @@ class TestInvalidation:
         chain, index, addresses = setup
         _, service = _service(setup, chain=chain)
         service.score(addresses)
-        cached = len(service.cache)
+        cached = len(service.shards[0].cache)
         assert cached > 0
         service.connect(chain)  # same chain: must not drop coverage
-        assert len(service.cache) == cached
+        assert len(service.shards[0].cache) == cached
         before = service.stats.snapshot()
         service.score(addresses)
         after = service.stats.snapshot()
         assert after["misses"] == before["misses"]  # served fully warm
         service.disconnect()
-
-    def test_close_releases_worker_pool(self, setup):
-        _, _, addresses = setup
-        _, service = _service(
-            setup, config=ScoringServiceConfig(max_workers=2)
-        )
-        service.score(addresses)
-        assert service._executor is not None  # pool kept for reuse
-        service.close()
-        assert service._executor is None
-        service.close()  # idempotent
 
     def test_cache_byte_accounting_with_encoded_entries(self, setup):
         """The service's encoded entries are byte-accounted end to end:
@@ -610,7 +593,7 @@ class TestInvalidation:
         chain, index, addresses = setup
         _, service = _service(setup, chain=chain)
         service.score(addresses)
-        warmed = service.cache.nbytes
+        warmed = service.shards[0].cache.nbytes
         assert warmed > 0
         target = next(
             a for a in addresses
@@ -619,9 +602,9 @@ class TestInvalidation:
         )
         _append_self_spend(chain, target)
         assert service.stats.invalidations >= 1
-        assert service.cache.nbytes < warmed
+        assert service.shards[0].cache.nbytes < warmed
         service.score(addresses)  # rebuild: accounting recovers
-        assert service.cache.nbytes > 0
+        assert service.shards[0].cache.nbytes > 0
         service.disconnect()
 
     def test_covered_tracking_without_chain_connection(self, setup):

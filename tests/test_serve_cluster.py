@@ -5,9 +5,11 @@ Pins the four contracts of ``repro.serve.cluster``:
 - shard routing is deterministic across router instances *and* across
   processes (a spawn-started child, which shares no interpreter state,
   must route identically);
-- cluster scores match the single :class:`AddressScoringService` to
-  1e-9 for every ``(shards, workers)`` combination, on randomized
-  ``repro.testing.random_chain`` economies;
+- cluster scores match naive ``BAClassifier.predict_proba`` (the
+  oracle) to 1e-9 for every ``(shards, workers)`` combination, on
+  randomized ``repro.testing.random_chain`` economies;
+- one ``score()`` routes each address once: a single
+  ``ShardRouter.partition`` call, and a one-shard router never hashes;
 - a warm-store round trip (``save_warm`` → fresh cluster →
   ``load_warm``) reproduces identical scores with **zero** construction
   misses, survives resharding, and refuses state from a different
@@ -29,7 +31,6 @@ import pytest
 from repro.core import BAClassifier, BAClassifierConfig
 from repro.errors import NotFittedError, ValidationError
 from repro.serve import (
-    AddressScoringService,
     CacheStore,
     ClusterConfig,
     ClusterScoringService,
@@ -44,7 +45,11 @@ SLICE_SIZE = 4
 
 @pytest.fixture(scope="module")
 def economy():
-    """Randomized economy + single-epoch classifier + baseline scores."""
+    """Randomized economy + single-epoch classifier + oracle scores.
+
+    ``baseline`` maps each address to its naive
+    ``classifier.predict_proba`` row — the parity oracle.
+    """
     chain, index, addresses = random_chain(5, num_wallets=4, rounds=10)
     classifier = BAClassifier(
         BAClassifierConfig(
@@ -61,9 +66,9 @@ def economy():
         [i % 2 for i in range(len(addresses))], dtype=np.int64
     )
     classifier.fit(addresses, labels, index)
-    single = AddressScoringService(classifier, index)
-    baseline = single.score(addresses)
-    single.close()
+    baseline = dict(
+        zip(addresses, classifier.predict_proba(addresses, index))
+    )
     return chain, index, addresses, classifier, baseline
 
 
@@ -133,6 +138,48 @@ class TestShardRouter:
             "1Abcde-second"
         )
 
+    def test_one_routing_pass_per_score(self, economy, monkeypatch):
+        """A score() partitions its request once and hashes each
+        distinct address at most once: planning, the embedding-cache
+        lookup and the metric flush all reuse that one partition."""
+        _, _, addresses, _, _ = economy
+        cluster = _cluster(economy, num_shards=2)
+        partition_calls = []
+        hashed = []
+        original_partition = ShardRouter.partition
+        original_shard_of = ShardRouter.shard_of
+
+        def counted_partition(router, request):
+            partition_calls.append(1)
+            return original_partition(router, request)
+
+        def counted_shard_of(router, address):
+            hashed.append(address)
+            return original_shard_of(router, address)
+
+        monkeypatch.setattr(ShardRouter, "partition", counted_partition)
+        monkeypatch.setattr(ShardRouter, "shard_of", counted_shard_of)
+        try:
+            for _ in range(2):  # cold, then warm
+                partition_calls.clear()
+                hashed.clear()
+                cluster.score(addresses + addresses[:2])
+                assert len(partition_calls) == 1
+                assert len(hashed) <= len(set(addresses))
+        finally:
+            cluster.close()
+
+    def test_one_shard_router_never_hashes(self, monkeypatch):
+        import repro.serve.router as router_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-shard router hashed an address")
+
+        monkeypatch.setattr(router_module.hashlib, "blake2b", forbidden)
+        router = ShardRouter(1)
+        assert router.shard_of("1Abcde") == 0
+        assert router.partition(["b", "a", "c"]) == {0: ["b", "a", "c"]}
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ShardRouter(0)
@@ -159,7 +206,7 @@ class TestClusterParity:
             for address in addresses:
                 np.testing.assert_allclose(
                     cold[address].probabilities,
-                    baseline[address].probabilities,
+                    baseline[address],
                     rtol=1e-9,
                     atol=1e-9,
                 )
@@ -171,7 +218,7 @@ class TestClusterParity:
             cluster.close()
 
     def test_parity_across_random_economies(self):
-        """Fresh seeds, fresh models: cluster == single, every seed."""
+        """Fresh seeds, fresh models: cluster == oracle, every seed."""
         for seed in (11, 29):
             chain, index, addresses = random_chain(seed)
             classifier = BAClassifier(
@@ -189,20 +236,17 @@ class TestClusterParity:
                 [i % 2 for i in range(len(addresses))], dtype=np.int64
             )
             classifier.fit(addresses, labels, index)
-            single = AddressScoringService(classifier, index)
-            expected = single.score(addresses)
+            expected = classifier.predict_proba(addresses, index)
             cluster = ClusterScoringService(
                 classifier, index, config=ClusterConfig(num_shards=2)
             )
             got = cluster.score(addresses)
-            for address in addresses:
-                np.testing.assert_allclose(
-                    got[address].probabilities,
-                    expected[address].probabilities,
-                    rtol=1e-9,
-                    atol=1e-9,
-                )
-            single.close()
+            np.testing.assert_allclose(
+                np.stack([got[a].probabilities for a in addresses]),
+                expected,
+                rtol=1e-9,
+                atol=1e-9,
+            )
             cluster.close()
 
     def test_score_one_and_async_score(self, economy):
@@ -212,7 +256,7 @@ class TestClusterParity:
             one = cluster.score_one(addresses[0])
             np.testing.assert_allclose(
                 one.probabilities,
-                baseline[addresses[0]].probabilities,
+                baseline[addresses[0]],
                 rtol=1e-9,
                 atol=1e-9,
             )
@@ -290,7 +334,7 @@ class TestWarmStore:
 
     def test_restore_survives_resharding(self, economy, tmp_path):
         """An N-shard store warms an M-shard cluster (entries re-route
-        through the current router) and an unsharded service."""
+        through the current router), one shard included."""
         _, index, addresses, classifier, baseline = economy
         cluster = _cluster(economy, num_shards=4)
         cluster.score(addresses)
@@ -307,38 +351,40 @@ class TestWarmStore:
             for address in addresses:
                 np.testing.assert_allclose(
                     scores[address].probabilities,
-                    baseline[address].probabilities,
+                    baseline[address],
                     rtol=1e-9,
                     atol=1e-9,
                 )
         finally:
             resharded.close()
 
-        single = AddressScoringService(classifier, index)
+        single = _cluster(economy, num_shards=1, num_workers=0)
         try:
             assert single.load_warm(tmp_path) == _total_slices(
                 index, addresses
             )
-            scores = single.score(addresses)
+            single.score(addresses)
             assert single.stats.misses == 0
         finally:
             single.close()
 
     def test_single_service_round_trip(self, economy, tmp_path):
         _, index, addresses, classifier, baseline = economy
-        source = AddressScoringService(classifier, index)
+        source = _cluster(economy, num_shards=1, num_workers=0)
         source.score(addresses)
         source.save_warm(tmp_path)
         source.close()
-        target = AddressScoringService(classifier, index)
+        target = _cluster(economy, num_shards=1, num_workers=0)
         try:
             assert target.load_warm(tmp_path) > 0
             scores = target.score(addresses)
             assert target.stats.misses == 0
             for address in addresses:
-                np.testing.assert_array_equal(
+                np.testing.assert_allclose(
                     scores[address].probabilities,
-                    baseline[address].probabilities,
+                    baseline[address],
+                    rtol=1e-9,
+                    atol=1e-9,
                 )
         finally:
             target.close()

@@ -19,7 +19,7 @@ parity/persistence tests of ``test_serve_cluster``:
   optimistic version protocol) and the query returns post-append
   scores — never a stale/fresh mix;
 - unknown-address validation reports the *total* count and elides the
-  tail explicitly, identically on the single service and the cluster;
+  tail explicitly, identically for one shard and many;
 - ``async_score`` runs on the cluster's own bounded executor, created
   lazily and shut down by ``close()``.
 
@@ -38,11 +38,7 @@ import pytest
 from repro.core import BAClassifier, BAClassifierConfig
 from repro.errors import ValidationError
 from repro.graphs.pipeline import GraphConstructionPipeline
-from repro.serve import (
-    AddressScoringService,
-    ClusterConfig,
-    ClusterScoringService,
-)
+from repro.serve import ClusterConfig, ClusterScoringService
 from repro.testing import append_self_spend, random_chain
 
 SLICE_SIZE = 4
@@ -50,7 +46,7 @@ SLICE_SIZE = 4
 
 @pytest.fixture(scope="module")
 def economy():
-    """Randomized economy + single-epoch classifier + baseline scores."""
+    """Randomized economy + single-epoch classifier."""
     chain, index, addresses = random_chain(7, num_wallets=4, rounds=10)
     classifier = BAClassifier(
         BAClassifierConfig(
@@ -67,14 +63,11 @@ def economy():
         [i % 2 for i in range(len(addresses))], dtype=np.int64
     )
     classifier.fit(addresses, labels, index)
-    single = AddressScoringService(classifier, index)
-    baseline = single.score(addresses)
-    single.close()
-    return chain, index, addresses, classifier, baseline
+    return chain, index, addresses, classifier
 
 
 def _cluster(economy, *, connect=False, **kwargs):
-    chain, index, _, classifier, _ = economy
+    chain, index, _, classifier = economy
     config = ClusterConfig(**kwargs)
     return ClusterScoringService(
         classifier,
@@ -99,7 +92,7 @@ class TestStreamingAppends:
     def test_append_streams_instead_of_reforking(self, economy):
         """The acceptance pin: appends never restart the worker pool,
         and post-append worker builds match a fresh model pass."""
-        chain, index, addresses, classifier, _ = economy
+        chain, index, addresses, classifier = economy
         cluster = _cluster(
             economy, connect=True, num_shards=2, num_workers=2
         )
@@ -130,7 +123,7 @@ class TestStreamingAppends:
     def test_repeated_appends_keep_workers_current(self, economy):
         """Several appends between scores all reach the workers as
         tail-replay messages; every rescore matches a fresh pass."""
-        chain, index, addresses, classifier, _ = economy
+        chain, index, addresses, classifier = economy
         cluster = _cluster(
             economy, connect=True, num_shards=2, num_workers=2
         )
@@ -156,7 +149,7 @@ class TestPerShardLocking:
     def test_disjoint_shards_do_not_contend(self, economy):
         """Holding shard A's lock stalls shard-A queries only: a
         concurrent shard-B query completes while the lock is held."""
-        _, index, addresses, _, _ = economy
+        _, index, addresses, _ = economy
         cluster = _cluster(
             economy, num_shards=2, num_workers=0, micro_batch=False
         )
@@ -203,7 +196,7 @@ class TestPerShardLocking:
     def test_append_during_inflight_query_linearizes(self, economy):
         """An append racing a query's build forces a re-plan: the query
         returns post-append scores, never a stale/fresh mix."""
-        chain, index, addresses, classifier, _ = economy
+        chain, index, addresses, classifier = economy
         cluster = _cluster(
             economy, connect=True, num_shards=2, num_workers=0
         )
@@ -295,7 +288,7 @@ class TestMicroBatching:
         """Requests that arrive while a pass runs coalesce into one
         merged pass whose per-request results equal serial scoring to
         1e-9."""
-        _, _, addresses, _, _ = economy
+        _, _, addresses, _ = economy
         cluster = _cluster(
             economy, num_shards=2, num_workers=0, micro_batch=True
         )
@@ -345,7 +338,7 @@ class TestMicroBatching:
         """A request naming unknown addresses fails with the shared
         validation error; the valid request sharing its batch still
         scores."""
-        _, _, addresses, _, _ = economy
+        _, _, addresses, _ = economy
         cluster = _cluster(
             economy, num_shards=2, num_workers=0, micro_batch=True
         )
@@ -386,7 +379,7 @@ class TestMicroBatching:
         """Closed-loop callers on a cold cluster with a tiny switch
         interval: every request is sealed exactly once, none hangs on a
         lost CPU-phase release, and scores equal serial scoring."""
-        _, _, addresses, _, _ = economy
+        _, _, addresses, _ = economy
         cluster = _cluster(
             economy,
             num_shards=2,
@@ -459,7 +452,7 @@ class TestNoHeadOfLineBlocking:
 
     @staticmethod
     def _warm_passes_stuck_cold(cluster, economy, building, gate):
-        _, index, addresses, classifier, _ = economy
+        _, index, addresses, classifier = economy
         warm, cold = addresses[0], addresses[1]
 
         async def run():
@@ -486,7 +479,7 @@ class TestNoHeadOfLineBlocking:
             )
 
     def test_worker_build(self, economy):
-        _, _, addresses, _, _ = economy
+        _, _, addresses, _ = economy
         cluster = _cluster(economy, num_shards=2, num_workers=1)
         try:
             cluster.score([addresses[0]])  # warm it; starts the pool
@@ -505,7 +498,7 @@ class TestNoHeadOfLineBlocking:
             cluster.close()
 
     def test_inline_build(self, economy, monkeypatch):
-        _, _, addresses, _, _ = economy
+        _, _, addresses, _ = economy
         cluster = _cluster(economy, num_shards=2, num_workers=0)
         try:
             cluster.score([addresses[0]])
@@ -535,10 +528,10 @@ class TestUnknownAddressReporting:
     def test_total_count_and_explicit_elision(self, economy):
         """Seven unknowns: the error carries the full count, shows the
         first five, and says how many were elided."""
-        _, index, addresses, classifier, _ = economy
+        _, _, addresses, _ = economy
         unknowns = [f"bc1q-missing-{i}" for i in range(7)]
         cluster = _cluster(economy, num_shards=2)
-        single = AddressScoringService(classifier, index)
+        single = _cluster(economy, num_shards=1, num_workers=0)
         try:
             messages = []
             for service in (single, cluster):
@@ -548,7 +541,7 @@ class TestUnknownAddressReporting:
             for message in messages:
                 assert "7 addresses with no transactions" in message
                 assert "(+2 more elided)" in message
-            # Same builder on both services: identical reporting.
+            # Same builder at every shard count: identical reporting.
             assert messages[0] == messages[1]
         finally:
             single.close()
@@ -560,7 +553,7 @@ class TestAsyncExecutorLifecycle:
         """``async_score`` uses the cluster's own named executor —
         created on first use, never the loop default — and ``close()``
         shuts it down."""
-        _, _, addresses, _, _ = economy
+        _, _, addresses, _ = economy
         cluster = _cluster(
             economy, num_shards=2, num_workers=0, micro_batch=False
         )
